@@ -38,6 +38,17 @@ object HdrfScoring {
   * Mutates `pids`, `loads`, `replicas` in place, honouring the balancing
   * constraint `|p_i| <= ceil(alphaCap * |E| / k)` (candidates at capacity are
   * skipped; if every partition is full the least-loaded one is used).
+  *
+  * The result is the HDRF argmax over all `k` partitions (ties to the
+  * smallest index), but only at most four partitions are scored per edge.
+  * `C_REP` takes one value per replica class of a partition — both endpoints
+  * replicated, only `u`, only `v`, neither — and `C_BAL` falls strictly as
+  * the load rises (`lambda > 0`; for `|E| < 2^31` no two loads give the same
+  * double). So the argmax is the best of each class's least-loaded
+  * under-capacity member, smallest index first. The three replicated classes
+  * come from per-vertex replica masks (`ceil(k/64)` words per streamed
+  * endpoint); the smallest-index least-loaded partition stands for the
+  * fourth, since if it is replicated its own class outscores it.
   */
 final class InformedStreaming(
     g: GraphData,
@@ -49,45 +60,160 @@ final class InformedStreaming(
     alphaCap: Double = 1.05,
 ) {
   require(k >= 1 && alphaCap >= 1.0, s"invalid k=$k / alphaCap=$alphaCap")
+  require(lambda > 0 && lambda < Double.PositiveInfinity, s"lambda must be positive and finite, got $lambda")
 
   private val capacity: Long = math.ceil(alphaCap * g.nE / k.toDouble).toLong
 
+  private var scored = 0L
+  private var bitsVisited = 0L
+  private var fallbackCount = 0L
+
+  /** Partitions scored with [[HdrfScoring.score]] so far: at most 4 per edge. */
+  def scoredPartitions: Long = scored
+
+  /** Replica-mask bits walked so far to find the replicated classes' winners. */
+  def maskBitsVisited: Long = bitsVisited
+
+  /** Edges placed on the least-loaded partition because all were at capacity. */
+  def fallbacks: Long = fallbackCount
+
+  // Load summary, kept up to date as loads grow by one: the minimum and
+  // maximum load, how many partitions sit at the minimum, and the smallest
+  // index among them.
+  private var minLoad = 0L
+  private var maxLoad = 0L
+  private var atMin = 0
+  private var minIdx = 0
+
+  // The edge's best candidate so far.
+  private var best = -1
+  private var bestScore = 0.0
+
   /** Stream the given edge ids (HEP passes the CSR's h2h buffer). */
-  def run(edgeIds: Array[Int]): Unit = {
+  def run(edgeIds: Array[Int]): Unit = if (edgeIds.nonEmpty) {
     val deg = g.degrees
+    val words = (k + 63) >>> 6
+
+    // A slot per streamed endpoint and its replica mask: bit p of word
+    // (p >>> 6) is set iff replicas(p) holds the endpoint.
+    val slot = Array.fill(g.nV)(-1)
+    var nSlots = 0
     var i = 0
     while (i < edgeIds.length) {
       val eid = edgeIds(i)
       val u = g.src(eid); val v = g.dst(eid)
-      var minLoad = Long.MaxValue; var maxLoad = Long.MinValue
-      var p = 0
-      while (p < k) {
-        if (loads(p) < minLoad) minLoad = loads(p)
-        if (loads(p) > maxLoad) maxLoad = loads(p)
-        p += 1
-      }
-      var best = -1
-      var bestScore = Double.NegativeInfinity
-      p = 0
-      while (p < k) {
-        if (loads(p) < capacity) {
-          val s = HdrfScoring.score(deg(u), deg(v),
-            replicas(p).get(u), replicas(p).get(v),
-            loads(p), minLoad, maxLoad, lambda)
-          if (s > bestScore) { bestScore = s; best = p }
+      if (slot(u) < 0) { slot(u) = nSlots; nSlots += 1 }
+      if (slot(v) < 0) { slot(v) = nSlots; nSlots += 1 }
+      i += 1
+    }
+    val masks = new Array[Long](Math.multiplyExact(nSlots, words))
+    var x = 0
+    while (x < g.nV) {
+      if (slot(x) >= 0) {
+        val base = slot(x) * words
+        var p = 0
+        while (p < k) {
+          if (replicas(p).get(x)) masks(base + (p >>> 6)) |= 1L << (p & 63)
+          p += 1
         }
-        p += 1
       }
+      x += 1
+    }
+
+    maxLoad = Long.MinValue
+    var p = 0
+    while (p < k) { if (loads(p) > maxLoad) maxLoad = loads(p); p += 1 }
+    rescanMin()
+
+    i = 0
+    while (i < edgeIds.length) {
+      val eid = edgeIds(i)
+      val u = g.src(eid); val v = g.dst(eid)
+      val bu = slot(u) * words; val bv = slot(v) * words
+      var both = -1; var onlyU = -1; var onlyV = -1
+      var w = 0
+      while (w < words) {
+        val mu = masks(bu + w); val mv = masks(bv + w)
+        both = lightest(mu & mv, w << 6, both)
+        onlyU = lightest(mu & ~mv, w << 6, onlyU)
+        onlyV = lightest(mv & ~mu, w << 6, onlyV)
+        w += 1
+      }
+      val du = deg(u).toLong; val dv = deg(v).toLong
+      best = -1
+      consider(both, du, dv, replicatedU = true, replicatedV = true)
+      consider(onlyU, du, dv, replicatedU = true, replicatedV = false)
+      consider(onlyV, du, dv, replicatedU = false, replicatedV = true)
+      if (minLoad < capacity) consider(minIdx, du, dv, replicatedU = false, replicatedV = false)
       if (best < 0) { // every partition at capacity: fall back to least loaded
-        var q = 0
-        while (q < k) { if (best < 0 || loads(q) < loads(best)) best = q; q += 1 }
+        best = minIdx
+        fallbackCount += 1
       }
       require(pids(eid) < 0, s"edge $eid already assigned before streaming")
-      pids(eid) = best
-      loads(best) += 1
-      replicas(best).set(u)
-      replicas(best).set(v)
+      val b = best
+      pids(eid) = b
+      addLoad(b)
+      replicas(b).set(u)
+      replicas(b).set(v)
+      masks(bu + (b >>> 6)) |= 1L << (b & 63)
+      masks(bv + (b >>> 6)) |= 1L << (b & 63)
       i += 1
+    }
+  }
+
+  /** The least-loaded under-capacity partition among `current` and the set
+    * bits of `bits` (partition `offset + bit`); ties keep the smaller index.
+    */
+  private def lightest(bits: Long, offset: Int, current: Int): Int = {
+    bitsVisited += java.lang.Long.bitCount(bits)
+    var b = bits
+    var c = current
+    while (b != 0L) {
+      val p = offset + java.lang.Long.numberOfTrailingZeros(b)
+      val l = loads(p)
+      if (l < capacity && (c < 0 || l < loads(c))) c = p
+      b &= b - 1
+    }
+    c
+  }
+
+  /** Score partition `p` (if any) and keep it if it beats the best so far;
+    * equal scores go to the smaller index, as in a scan over all `k`.
+    */
+  private def consider(p: Int, du: Long, dv: Long, replicatedU: Boolean, replicatedV: Boolean): Unit =
+    if (p >= 0) {
+      val s = HdrfScoring.score(du, dv, replicatedU, replicatedV, loads(p), minLoad, maxLoad, lambda)
+      scored += 1
+      if (best < 0 || s > bestScore || (s == bestScore && p < best)) { best = p; bestScore = s }
+    }
+
+  /** `loads(b) += 1`, keeping the load summary current. The minimum only
+    * rises, by at most `|E| / k` levels, and within a level `minIdx` only
+    * moves up, so the scans below cost O(1) amortised per edge.
+    */
+  private def addLoad(b: Int): Unit = {
+    val old = loads(b)
+    loads(b) = old + 1
+    if (old + 1 > maxLoad) maxLoad = old + 1
+    if (old == minLoad) {
+      atMin -= 1
+      if (atMin == 0) rescanMin()
+      else if (b == minIdx) {
+        var q = b + 1
+        while (loads(q) != minLoad) q += 1
+        minIdx = q
+      }
+    }
+  }
+
+  private def rescanMin(): Unit = {
+    minLoad = Long.MaxValue; atMin = 0; minIdx = -1
+    var p = 0
+    while (p < k) {
+      val l = loads(p)
+      if (l < minLoad) { minLoad = l; atMin = 1; minIdx = p }
+      else if (l == minLoad) atMin += 1
+      p += 1
     }
   }
 }

@@ -3,7 +3,7 @@ package repro.graphx
 import org.apache.spark.graphx._
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
-import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.Partitioner
 
 import repro.core.{GraphData, PartitionResult}
 
