@@ -19,7 +19,7 @@ final class Hdrf(
 
   override def partition(g: GraphData, k: Int): PartitionResult = {
     val t0 = System.nanoTime()
-    val pids = Array.fill(g.nE)(-1)
+    val pids = Partitioners.unassigned(g.nE)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
     val partialDeg = new Array[Long](g.nV)

@@ -51,7 +51,7 @@ object NeBaseline {
   }
 
   private final class Run(g: GraphData, k: Int) {
-    val pids: Array[Int] = Array.fill(g.nE)(-1)
+    val pids: Array[Int] = Partitioners.unassigned(g.nE)
     private val loads = new Array[Long](k)
 
     // CSR over edge ids, both directions per edge (the reference layout)

@@ -29,7 +29,7 @@ final class SimpleHybrid(val tau: Double, alphaCap: Double = 1.05, seed: Int = 4
       e += 1
     }
 
-    val pids = Array.fill(g.nE)(-1)
+    val pids = Partitioners.unassigned(g.nE)
     val loads = new Array[Long](k)
 
     // G_REST via baseline NE on the sub-graph (same vertex id space)

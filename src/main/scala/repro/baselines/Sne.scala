@@ -36,7 +36,7 @@ object Sne {
     private val capacity: Long = (g.nE.toLong + k - 1) / k
     private val bufferCap: Long = sampleSize * capacity
     private val adj = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
-    private val pids = Array.fill(g.nE)(-1)
+    private val pids = Partitioners.unassigned(g.nE)
     private val loads = new Array[Long](k)
     private var buffered = 0L
     private var streamPtr = 0

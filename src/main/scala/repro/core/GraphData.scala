@@ -12,7 +12,10 @@ import org.apache.spark.sql.DataFrame
   * left-hand side vertex", Section 3.2.3) even though the graph is undirected.
   * The list is expected to be simple: no self loops, each undirected edge
   * present exactly once (the generators in [[repro.SynthGraphs]] guarantee
-  * this and tests assert it).
+  * this and tests assert it). The class itself does not scan for
+  * violations. Self-loops are rejected by [[PrunedCsr.build]], with the
+  * edge id and the vertex, so every HEP variant refuses such a graph before
+  * partitioning starts. Duplicate edges are not detected.
   *
   * @param nV  number of vertices; ids are `[0, nV)`
   * @param src left endpoints, indexed by edge id
@@ -24,13 +27,12 @@ final class GraphData(val nV: Int, val src: Array[Int], val dst: Array[Int]) {
   /** Number of edges. */
   val nE: Int = src.length
 
-  /** Undirected degree of every vertex (each edge counts at both endpoints). */
-  lazy val degrees: Array[Int] = {
-    val d = new Array[Int](nV)
-    var e = 0
-    while (e < nE) { d(src(e)) += 1; d(dst(e)) += 1; e += 1 }
-    d
-  }
+  /** Undirected degree of every vertex (each edge counts at both endpoints).
+    * Computed once, on first read. The loop lives in `countDegrees`: a
+    * `lazy val` initialiser runs inside a `synchronized` block, where
+    * HotSpot will not compile a loop on stack (it stays interpreted).
+    */
+  lazy val degrees: Array[Int] = GraphData.countDegrees(nV, src, dst)
 
   /** Mean degree `2|E| / |V|` (the paper's `∅_d`). */
   def meanDegree: Double = if (nV == 0) 0.0 else 2.0 * nE / nV
@@ -60,6 +62,14 @@ object GraphData {
       i += 1
     }
     new GraphData(nV, s, d)
+  }
+
+  /** Graph building's first pass (paper §4.1), kept out of the lazy-val lock. */
+  private def countDegrees(nV: Int, src: Array[Int], dst: Array[Int]): Array[Int] = {
+    val d = new Array[Int](nV)
+    var e = 0
+    while (e < src.length) { d(src(e)) += 1; d(dst(e)) += 1; e += 1 }
+    d
   }
 
   /** Convenience constructor for tests. */

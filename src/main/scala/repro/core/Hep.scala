@@ -32,7 +32,7 @@ final class Hep(
   def partitionDetailed(g: GraphData, k: Int): Hep.Detailed = {
     val t0 = System.nanoTime()
     val csr = PrunedCsr.build(g, Some(tau))
-    val pids = Array.fill(g.nE)(-1)
+    val pids = Partitioners.unassigned(g.nE)
     val loads = new Array[Long](k)
     val replicas = Array.fill(k)(new DenseBitset(g.nV))
     new NePlusPlus(csr, k, pids, loads, replicas, EdgeRemoval.Lazy).run()

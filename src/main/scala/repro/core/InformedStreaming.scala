@@ -96,7 +96,7 @@ final class InformedStreaming(
 
     // A slot per streamed endpoint and its replica mask: bit p of word
     // (p >>> 6) is set iff replicas(p) holds the endpoint.
-    val slot = Array.fill(g.nV)(-1)
+    val slot = Partitioners.unassigned(g.nV)
     var nSlots = 0
     var i = 0
     while (i < edgeIds.length) {

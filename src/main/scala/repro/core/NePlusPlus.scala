@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** How assigned edges are invalidated during neighbourhood expansion.
   *
   *  - [[EdgeRemoval.Lazy]] — NE++ (Section 3.2.2): nothing is touched during
@@ -55,7 +53,9 @@ final class NePlusPlus(
 
   private val core = new DenseBitset(g.nV)
   private val secondary = new DenseBitset(g.nV)
-  private val members = new ArrayBuffer[Int]()
+  // S_i in insertion order; a vertex joins S_i at most once per partition.
+  private val members = new Array[Int](g.nV)
+  private var memberCount = 0
   private val heap = new IndexedMinHeap(g.nV)
 
   /** Adapted capacity bound (Section 3.2.3): in-memory edges are spread over
@@ -159,7 +159,8 @@ final class NePlusPlus(
       idx += 1
     }
     secondary.set(v)
-    members += v
+    members(memberCount) = v
+    memberCount += 1
     if (insertHeap) heap.insert(v, dext)
   }
 
@@ -191,7 +192,7 @@ final class NePlusPlus(
 
   private def cleanUp(): Unit = {
     var m = 0
-    while (m < members.length) {
+    while (m < memberCount) {
       val v = members(m)
       if (secondary.get(v)) { // skip members later promoted to the core
         var idx = csr.outStart(v)
@@ -213,8 +214,8 @@ final class NePlusPlus(
 
   private def resetSecondary(): Unit = {
     var m = 0
-    while (m < members.length) { secondary.clear(members(m)); m += 1 }
-    members.clear()
+    while (m < memberCount) { secondary.clear(members(m)); m += 1 }
+    memberCount = 0
     heap.clear()
   }
 

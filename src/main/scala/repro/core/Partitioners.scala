@@ -33,6 +33,16 @@ trait EdgePartitioner {
 
 object Partitioners {
 
+  /** `n` ints set to -1 ("unassigned"), filled with a primitive loop: the
+    * generic `Array.fill(n)(-1)` stores each element through
+    * `ScalaRunTime.array_update`.
+    */
+  def unassigned(n: Int): Array[Int] = {
+    val a = new Array[Int](n)
+    java.util.Arrays.fill(a, -1)
+    a
+  }
+
   /** Validity check used by every test: each edge assigned exactly once to a
     * partition in `[0, k)`. Throws with a diagnostic on violation.
     */

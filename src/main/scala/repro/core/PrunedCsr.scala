@@ -119,7 +119,8 @@ object PrunedCsr {
   /** Two-pass CSR build (Section 4.1 "Graph Building"): pass 1 computes
     * degrees (already cached on [[GraphData]]) and the index arrays; pass 2
     * inserts each edge into the column array, or into the h2h buffer when
-    * both endpoints are high-degree.
+    * both endpoints are high-degree. Pass 1 rejects self-loops, naming the
+    * edge id and the vertex.
     */
   def build(g: GraphData, tau: Option[Double]): PrunedCsr = {
     val nV = g.nV
@@ -138,6 +139,7 @@ object PrunedCsr {
     var e = 0
     while (e < g.nE) {
       val u = g.src(e); val v = g.dst(e)
+      require(u != v, s"edge $e is a self-loop on vertex $u; GraphData must be simple")
       if (high(u) && high(v)) h2h += 1
       else {
         if (!high(u)) outCnt(u) += 1

@@ -125,7 +125,7 @@ object TableHarness {
     def runOnce(tracer: PagingSimulator): Long = {
       val csr = PrunedCsr.build(g, Some(tau))
       if (tracer ne null) csr.tracer = tracer
-      val pids = Array.fill(g.nE)(-1)
+      val pids = Partitioners.unassigned(g.nE)
       val loads = new Array[Long](k)
       val replicas = Array.fill(k)(new DenseBitset(g.nV))
       val t0 = System.nanoTime()

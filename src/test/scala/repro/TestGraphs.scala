@@ -54,6 +54,10 @@ object TestGraphs {
   def path(n: Int): GraphData =
     GraphData.fromEdges(n, (0 until n - 1).map(v => (v, v + 1)))
 
+  /** Complete graph on `s` vertices. */
+  def clique(s: Int): GraphData =
+    GraphData.fromEdges(s, for (i <- 0 until s; j <- i + 1 until s) yield (i, j))
+
   /** Two disconnected cliques of size `s` each. */
   def twoCliques(s: Int): GraphData = {
     val edges = for {

@@ -10,6 +10,50 @@ class GraphDataSpec extends SparkSpec {
     assert(g.degrees.toSeq == Seq(3, 2, 2, 1))
   }
 
+  private def referenceDegrees(g: GraphData): Seq[Int] = {
+    val counts = (g.src ++ g.dst).groupBy(identity).map { case (v, es) => v -> es.length }
+    (0 until g.nV).map(counts.getOrElse(_, 0))
+  }
+
+  test("degrees equal a plain reference count on random and power-law graphs") {
+    for (g <- Seq(TestGraphs.random(200, 700, seed = 21), TestGraphs.powerLaw(500, 3000, gamma = 3.0, seed = 22)))
+      assert(g.degrees.toSeq == referenceDegrees(g))
+  }
+
+  test("degrees are zero for isolated vertices and for an empty edge list") {
+    val sparse = GraphData.fromEdges(10, Seq((0, 1), (2, 3), (1, 3)))
+    assert(sparse.degrees.toSeq == Seq(1, 2, 1, 2, 0, 0, 0, 0, 0, 0))
+    assert(sparse.degrees.toSeq == referenceDegrees(sparse))
+    val manyIsolated = TestGraphs.random(1000, 50, seed = 23)
+    assert(manyIsolated.degrees.toSeq == referenceDegrees(manyIsolated))
+    assert(manyIsolated.degrees.count(_ == 0) >= 900)
+    assert(GraphData.fromEdges(5, Seq.empty).degrees.toSeq == Seq.fill(5)(0))
+    assert(GraphData.fromEdges(0, Seq.empty).degrees.isEmpty)
+  }
+
+  test("repeated reads of degrees return the same array") {
+    val g = TestGraphs.random(50, 120, seed = 24)
+    val first = g.degrees
+    assert(g.degrees eq first)
+    assert(g.degrees eq first)
+  }
+
+  test("threads reading degrees at once all get the same array") {
+    val g = TestGraphs.powerLaw(2000, 20000, gamma = 3.0, seed = 25)
+    val nThreads = 4
+    val start = new java.util.concurrent.CyclicBarrier(nThreads)
+    val seen = new java.util.concurrent.atomic.AtomicReferenceArray[Array[Int]](nThreads)
+    val threads = (0 until nThreads).map { t =>
+      new Thread(() => { start.await(); seen.set(t, g.degrees) })
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join(60000))
+    val first = seen.get(0)
+    assert(first != null)
+    (0 until nThreads).foreach(t => assert(seen.get(t) eq first, s"thread $t"))
+    assert(first.toSeq == referenceDegrees(g))
+  }
+
   test("mean degree is 2|E|/|V|") {
     val g = TestGraphs.star(5)
     assert(g.meanDegree === 2.0 * 5 / 6)

@@ -10,6 +10,14 @@ class HepSpec extends SparkSpec {
     Partitioners.validate(g, res)
   }
 
+  test("a self-loop is rejected up front by HEP-1, HEP-10 and HEP-100") {
+    val g = GraphData.fromEdges(4, Seq((0, 1), (0, 2), (1, 1), (0, 3)))
+    for (tau <- Seq(1.0, 10.0, 100.0)) {
+      val ex = intercept[IllegalArgumentException](new Hep(tau).partition(g, 2))
+      assert(ex.getMessage.contains("edge 2 is a self-loop on vertex 1"), s"tau=$tau: ${ex.getMessage}")
+    }
+  }
+
   test("name follows the paper's HEP-x convention") {
     assert(new Hep(100).name == "HEP-100")
     assert(new Hep(10).name == "HEP-10")

@@ -101,6 +101,18 @@ class NePlusPlusSpec extends AnyFunSuite with PropHelper {
     assert(rf(g, pids, k) <= (31.0 + k - 1) / 31)
   }
 
+  test("clique and star at k = 1 and 2: one secondary set holds every vertex") {
+    // The seed joins S_0 and every other vertex is its neighbour, so S_0
+    // fills the engine's |V|-sized member array exactly.
+    for ((name, g) <- Seq("clique" -> TestGraphs.clique(9), "star" -> TestGraphs.star(31)); k <- Seq(1, 2)) {
+      val (pids, loads, _, csr) = runPhase(g, k, None)
+      Partitioners.validate(g, PartitionResult(k, pids, s"NE++ on $name", 0L))
+      val expected = if (k == 1) Seq(g.nE.toLong) else Seq((g.nE + 1) / 2L, g.nE / 2L)
+      assert(loads.toSeq == expected, s"$name k=$k")
+      assert(csr.inMemEdgeCount == g.nE)
+    }
+  }
+
   test("disconnected components are all partitioned (re-initialisation)") {
     val g = TestGraphs.twoCliques(8)
     val (pids, _, _, csr) = runPhase(g, 4, None)
